@@ -13,6 +13,8 @@
 #include "frapp/core/subset_reconstruction.h"
 #include "frapp/data/census.h"
 #include "frapp/mining/apriori.h"
+#include "frapp/mining/count_source.h"
+#include "frapp/mining/sharded_vertical_index.h"
 #include "frapp/mining/support_counter.h"
 
 namespace {
@@ -30,6 +32,27 @@ class ScalarExactEstimator : public mining::SupportEstimator {
 
  private:
   const data::CategoricalTable& table_;
+};
+
+// The pre-vertical-index DET-GD estimator: one row scan of the perturbed
+// table per candidate, then the Eq. 28 closed-form inverse.
+class ScalarGammaEstimator : public mining::SupportEstimator {
+ public:
+  ScalarGammaEstimator(const data::CategoricalTable& perturbed,
+                       core::GammaSubsetReconstructor reconstructor)
+      : perturbed_(perturbed), reconstructor_(std::move(reconstructor)) {}
+  StatusOr<double> EstimateSupport(const mining::Itemset& itemset) override {
+    uint64_t subset_domain = 1;
+    for (const mining::Item& item : itemset.items()) {
+      subset_domain *= perturbed_.schema().Cardinality(item.attribute);
+    }
+    return reconstructor_.ReconstructSupport(
+        mining::SupportFraction(perturbed_, itemset), subset_domain);
+  }
+
+ private:
+  const data::CategoricalTable& perturbed_;
+  core::GammaSubsetReconstructor reconstructor_;
 };
 
 // The pre-alias-kernel perturbation loop: per-row temporaries, per-column
@@ -87,10 +110,13 @@ void BM_DetGdPipeline(benchmark::State& state) {
   options.min_support = 0.02;
   for (auto _ : state) {
     auto mechanism = *core::DetGdMechanism::Create(table.schema(), 19.0);
-    random::Pcg64 rng(11);
-    (void)mechanism->Prepare(table, rng);
-    benchmark::DoNotOptimize(mining::MineFrequentItemsets(
-        table.schema(), mechanism->estimator(), options));
+    const data::CategoricalTable perturbed =
+        *mechanism->PerturbShard(data::ShardView::Whole(table), 11, 1);
+    auto estimator = *mechanism->MakeCountSourceEstimator(
+        std::make_shared<mining::LocalSupportCountSource>(
+            mining::ShardedVerticalIndex::Build(perturbed, 1)));
+    benchmark::DoNotOptimize(
+        mining::MineFrequentItemsets(table.schema(), *estimator, options));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -108,8 +134,7 @@ void BM_DetGdPipelineScalar(benchmark::State& state) {
   for (auto _ : state) {
     random::Pcg64 rng(11);
     const data::CategoricalTable perturbed = ScalarGammaPerturb(table, matrix, rng);
-    core::GammaSupportEstimator estimator(table.schema(), reconstructor, perturbed,
-                                          /*use_vertical_index=*/false);
+    ScalarGammaEstimator estimator(perturbed, reconstructor);
     benchmark::DoNotOptimize(
         mining::MineFrequentItemsets(table.schema(), estimator, options));
   }

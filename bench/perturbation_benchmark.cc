@@ -47,9 +47,9 @@ void BM_EfficientGammaPerturb(benchmark::State& state) {
   const data::CategoricalSchema schema = PowerSchema(m);
   const data::CategoricalTable table = RandomTable(schema, 1000);
   auto perturber = *core::GammaDiagonalPerturber::Create(schema, 19.0);
-  random::Pcg64 rng(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(perturber.Perturb(table, rng));
+    benchmark::DoNotOptimize(
+        perturber.PerturbShardSeeded(data::ShardView::Whole(table), 2, 1));
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
   state.counters["domain"] = static_cast<double>(schema.DomainSize());
@@ -107,7 +107,8 @@ void BM_SeededGammaPerturb(benchmark::State& state) {
   auto perturber = *core::GammaDiagonalPerturber::Create(schema, 19.0);
   const size_t threads = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(perturber.PerturbSeeded(table, 99, threads));
+    benchmark::DoNotOptimize(
+        perturber.PerturbShardSeeded(data::ShardView::Whole(table), 99, threads));
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }
@@ -119,9 +120,9 @@ void BM_RandomizedGammaPerturb(benchmark::State& state) {
   const double x = 1.0 / (19.0 + schema.DomainSize() - 1.0);
   auto perturber =
       *core::RandomizedGammaPerturber::Create(schema, 19.0, 19.0 * x / 2.0);
-  random::Pcg64 rng(4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(perturber.Perturb(table, rng));
+    benchmark::DoNotOptimize(
+        perturber.PerturbShardSeeded(data::ShardView::Whole(table), 4, 1));
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }
@@ -132,9 +133,8 @@ void BM_MaskPerturb(benchmark::State& state) {
   const data::CategoricalTable table = RandomTable(schema, 1000);
   const data::BooleanTable onehot = *data::BooleanTable::FromCategorical(table);
   auto scheme = *core::MaskScheme::CalibrateForGamma(19.0, 6);
-  random::Pcg64 rng(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheme.Perturb(onehot, rng));
+    benchmark::DoNotOptimize(scheme.PerturbShardSeeded(onehot, 0, 5, 1));
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }
@@ -145,9 +145,8 @@ void BM_CutPastePerturb(benchmark::State& state) {
   const data::CategoricalTable table = RandomTable(schema, 1000);
   const data::BooleanTable onehot = *data::BooleanTable::FromCategorical(table);
   auto scheme = *core::CutPasteScheme::Create(3, 0.494, 6, 23);
-  random::Pcg64 rng(6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheme.Perturb(onehot, rng));
+    benchmark::DoNotOptimize(scheme.PerturbShardSeeded(onehot, 0, 6, 1));
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }

@@ -54,8 +54,10 @@ int main() {
   // --- Client-side perturbation (gamma-diagonal, O(M) per record). --------
   StatusOr<core::GammaDiagonalPerturber> perturber =
       core::GammaDiagonalPerturber::Create(*schema, gamma);
-  random::Pcg64 rng(42);
-  StatusOr<data::CategoricalTable> perturbed = perturber->Perturb(*original, rng);
+  // Seeded and chunked: the whole table is one shard at global row 0, and
+  // any thread count or chunk-aligned split gives the same bytes.
+  StatusOr<data::CategoricalTable> perturbed = perturber->PerturbShardSeeded(
+      data::ShardView::Whole(*original), /*seed=*/42);
   if (!perturbed.ok()) {
     std::cerr << perturbed.status().ToString() << "\n";
     return 1;

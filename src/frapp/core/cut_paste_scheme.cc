@@ -14,8 +14,7 @@ namespace core {
 
 namespace {
 
-/// One record through the cut-and-paste operator (shared by the sequential
-/// and the seeded-chunk bulk paths; both must consume `rng` identically).
+/// One record through the cut-and-paste operator.
 uint64_t CutPasteRow(uint64_t row, size_t cutoff_k, double rho,
                      size_t universe_bits, std::vector<size_t>& ones,
                      random::Pcg64& rng) {
@@ -73,28 +72,6 @@ double CutPasteScheme::CutSizeProbability(size_t z) const {
   if (z < m) return 1.0 / denom;
   if (z == m) return static_cast<double>(cutoff_k_ - m + 1) / denom;
   return 0.0;
-}
-
-StatusOr<data::BooleanTable> CutPasteScheme::Perturb(const data::BooleanTable& table,
-                                                     random::Pcg64& rng) const {
-  if (table.num_bits() != universe_bits_) {
-    return Status::InvalidArgument("table universe does not match scheme");
-  }
-  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable out,
-                         data::BooleanTable::CreateEmpty(table.num_bits()));
-
-  std::vector<size_t> ones;
-  ones.reserve(record_items_);
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    out.AppendRow(CutPasteRow(table.RowBits(i), cutoff_k_, rho_, universe_bits_,
-                              ones, rng));
-  }
-  return out;
-}
-
-StatusOr<data::BooleanTable> CutPasteScheme::PerturbSeeded(
-    const data::BooleanTable& table, uint64_t seed, size_t num_threads) const {
-  return PerturbShardSeeded(table, /*global_begin=*/0, seed, num_threads);
 }
 
 StatusOr<data::BooleanTable> CutPasteScheme::PerturbShardSeeded(

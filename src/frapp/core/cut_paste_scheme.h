@@ -28,11 +28,9 @@
 #include "frapp/data/boolean_vertical_index.h"
 #include "frapp/data/boolean_view.h"
 #include "frapp/data/pattern_count_source.h"
-#include "frapp/data/sharded_boolean_vertical_index.h"
 #include "frapp/linalg/lu.h"
 #include "frapp/linalg/matrix.h"
 #include "frapp/mining/apriori.h"
-#include "frapp/random/rng.h"
 
 namespace frapp {
 namespace core {
@@ -54,19 +52,11 @@ class CutPasteScheme {
   /// record_items.
   double CutSizeProbability(size_t z) const;
 
-  /// Applies the operator to every record.
-  StatusOr<data::BooleanTable> Perturb(const data::BooleanTable& table,
-                                       random::Pcg64& rng) const;
-
-  /// Deterministic seeded form on the global seeded-chunk grid (see
-  /// core/seeded_chunking.h): depends only on (table, seed), and any
-  /// chunk-aligned shard partition concatenates bit-for-bit.
-  StatusOr<data::BooleanTable> PerturbSeeded(const data::BooleanTable& table,
-                                             uint64_t seed,
-                                             size_t num_threads = 1) const;
-
-  /// Shard form of PerturbSeeded: perturbs all rows of `onehot` (one shard's
-  /// one-hot encoding) with the chunk streams of its global position;
+  /// Applies the operator to every row of `onehot` (one shard's one-hot
+  /// encoding, over universe_bits() items) on the global seeded-chunk grid
+  /// (see core/seeded_chunking.h): the output depends only on (rows, global
+  /// position, seed), and any chunk-aligned shard partition concatenates
+  /// bit-for-bit (a whole table is one shard at global_begin 0).
   /// `global_begin` must be chunk-aligned.
   StatusOr<data::BooleanTable> PerturbShardSeeded(const data::BooleanTable& onehot,
                                                   size_t global_begin,
@@ -135,23 +125,6 @@ class CutPasteSupportEstimator : public mining::SupportEstimator {
   CutPasteSupportEstimator(const CutPasteScheme& scheme, data::BooleanLayout layout,
                            std::shared_ptr<data::PatternCountSource> source)
       : scheme_(scheme), layout_(std::move(layout)), source_(std::move(source)) {}
-
-  /// Owns the (possibly multi-shard) index; `num_threads` parallelizes each
-  /// histogram pass (never affects results).
-  CutPasteSupportEstimator(const CutPasteScheme& scheme, data::BooleanLayout layout,
-                           data::ShardedBooleanVerticalIndex index,
-                           size_t num_threads = 1)
-      : CutPasteSupportEstimator(scheme, std::move(layout),
-                                 std::make_shared<data::LocalPatternCountSource>(
-                                     std::move(index), num_threads)) {}
-
-  /// Convenience for the monolithic Prepare() path: one shard over
-  /// `perturbed` (the rows are not retained).
-  CutPasteSupportEstimator(const CutPasteScheme& scheme, data::BooleanLayout layout,
-                           const data::BooleanTable& perturbed)
-      : CutPasteSupportEstimator(scheme, std::move(layout),
-                                 data::ShardedBooleanVerticalIndex::Build(
-                                     perturbed, /*num_shards=*/1)) {}
 
   StatusOr<double> EstimateSupport(const mining::Itemset& itemset) override;
 

@@ -48,7 +48,8 @@ struct FrappDesign {
   /// fields coincide at rho2; for RAN-GD they bracket it.
   PosteriorRange posterior;
 
-  /// The ready-to-Prepare mechanism (DetGdMechanism or RanGdMechanism).
+  /// The designed mechanism (DetGdMechanism or RanGdMechanism), ready for
+  /// PerturbShard and MakeCountSourceEstimator.
   std::unique_ptr<Mechanism> mechanism;
 
   /// Multi-line human-readable description of the design.

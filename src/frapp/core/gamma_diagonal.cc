@@ -131,39 +131,7 @@ StatusOr<GammaDiagonalPerturber> GammaDiagonalPerturber::Create(
                                 std::move(divergence));
 }
 
-using internal::ChunkRng;
 using internal::ColumnPointers;
-using internal::kPerturbChunkRows;
-
-StatusOr<data::CategoricalTable> GammaDiagonalPerturber::Perturb(
-    const data::CategoricalTable& table, random::Pcg64& rng) const {
-  if (table.num_attributes() != plan_.num_attributes()) {
-    return Status::InvalidArgument("table schema does not match perturber");
-  }
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable out,
-                         data::CategoricalTable::Create(table.schema()));
-  out.AppendZeroRows(table.num_rows());
-  ColumnPointers cols(table, &out);
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    plan_.FillRow(divergence_.Sample(rng), cols.in.data(), cols.out.data(), i, rng);
-  }
-  return out;
-}
-
-StatusOr<data::CategoricalTable> GammaDiagonalPerturber::PerturbSeeded(
-    const data::CategoricalTable& table, uint64_t seed,
-    size_t num_threads) const {
-  return PerturbShardSeeded(table, data::RowRange{0, table.num_rows()}, seed,
-                            num_threads);
-}
-
-StatusOr<data::CategoricalTable> GammaDiagonalPerturber::PerturbShardSeeded(
-    const data::CategoricalTable& table, const data::RowRange& range,
-    uint64_t seed, size_t num_threads) const {
-  FRAPP_RETURN_IF_ERROR(internal::ValidateShardRange(range, table.num_rows()));
-  return PerturbShardSeeded(data::ShardView{&table, range, range.begin}, seed,
-                            num_threads);
-}
 
 StatusOr<data::CategoricalTable> GammaDiagonalPerturber::PerturbShardSeeded(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) const {

@@ -162,35 +162,14 @@ class GammaDiagonalPerturber {
   static StatusOr<GammaDiagonalPerturber> Create(const data::CategoricalSchema& schema,
                                                  double gamma);
 
-  /// Perturbs every record of `table` (whose schema must match), consuming
-  /// randomness from `rng` sequentially.
-  StatusOr<data::CategoricalTable> Perturb(const data::CategoricalTable& table,
-                                           random::Pcg64& rng) const;
-
-  /// Deterministic, optionally multi-threaded perturbation: rows are split
-  /// into fixed-size chunks, chunk c draws from its own Pcg64 stream derived
-  /// from (seed, c), and threads only schedule chunks — so the output is
-  /// bit-identical for a fixed seed at EVERY thread count (0 = hardware
-  /// concurrency).
-  StatusOr<data::CategoricalTable> PerturbSeeded(const data::CategoricalTable& table,
-                                                 uint64_t seed,
-                                                 size_t num_threads = 1) const;
-
-  /// Perturbs only rows [range.begin, range.end) of `table` into a fresh
-  /// table of range-size rows, drawing randomness from the GLOBAL chunk
-  /// streams of the seeded contract — so concatenating the outputs of any
-  /// chunk-aligned partition reproduces PerturbSeeded(table, seed) bit for
-  /// bit. `range` must satisfy the seeded-chunk alignment (begin on a chunk
-  /// boundary, end on one or at the table end).
-  StatusOr<data::CategoricalTable> PerturbShardSeeded(
-      const data::CategoricalTable& table, const data::RowRange& range,
-      uint64_t seed, size_t num_threads = 1) const;
-
-  /// Streaming form: perturbs the rows of `shard` (a window whose buffer
-  /// need not be the whole table) with the chunk streams of its GLOBAL
-  /// position — the primitive behind both the in-memory overload above and
-  /// the pipeline's CSV/generator ingest, which never materialize a full
-  /// table.
+  /// Perturbs the rows of `shard` (a window whose buffer need not be the
+  /// whole table) under the seeded-chunk contract: rows fall into
+  /// fixed-size chunks of the GLOBAL row grid, chunk c draws from its own
+  /// Pcg64 stream derived from (seed, c), and threads only schedule chunks
+  /// (0 = hardware concurrency). The output is therefore bit-identical at
+  /// every thread count, and the outputs of any chunk-aligned partition
+  /// concatenate to the whole-table output (a whole table is one shard at
+  /// global_begin 0). The buffer's schema must match the perturber's.
   StatusOr<data::CategoricalTable> PerturbShardSeeded(
       const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
 

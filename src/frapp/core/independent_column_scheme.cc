@@ -43,35 +43,6 @@ StatusOr<IndependentColumnScheme> IndependentColumnScheme::Create(
   return IndependentColumnScheme(schema, gamma, per_attr);
 }
 
-StatusOr<data::CategoricalTable> IndependentColumnScheme::Perturb(
-    const data::CategoricalTable& table, random::Pcg64& rng) const {
-  if (table.num_attributes() != schema_.num_attributes()) {
-    return Status::InvalidArgument("table schema does not match scheme");
-  }
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable out,
-                         data::CategoricalTable::Create(table.schema()));
-  out.Reserve(table.num_rows());
-
-  const size_t m = schema_.num_attributes();
-  const std::vector<double> stay = StayProbabilities(schema_, per_attribute_gamma_);
-  std::vector<uint8_t> row(m);
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      row[j] = PerturbValue(table.Value(i, j), schema_.Cardinality(j), stay[j], rng);
-    }
-    FRAPP_RETURN_IF_ERROR(out.AppendRow(row));
-  }
-  return out;
-}
-
-StatusOr<data::CategoricalTable> IndependentColumnScheme::PerturbSeeded(
-    const data::CategoricalTable& table, uint64_t seed,
-    size_t num_threads) const {
-  return PerturbShardSeeded(
-      data::ShardView{&table, data::RowRange{0, table.num_rows()}, 0}, seed,
-      num_threads);
-}
-
 StatusOr<data::CategoricalTable> IndependentColumnScheme::PerturbShardSeeded(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) const {
   using internal::kPerturbChunkRows;

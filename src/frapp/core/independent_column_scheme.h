@@ -27,8 +27,6 @@
 #include "frapp/linalg/matrix.h"
 #include "frapp/mining/apriori.h"
 #include "frapp/mining/count_source.h"
-#include "frapp/mining/sharded_vertical_index.h"
-#include "frapp/random/rng.h"
 
 namespace frapp {
 namespace core {
@@ -45,19 +43,12 @@ class IndependentColumnScheme {
   double gamma() const { return gamma_; }
   double per_attribute_gamma() const { return per_attribute_gamma_; }
 
-  /// Perturbs each column independently with its gamma-diagonal matrix.
-  StatusOr<data::CategoricalTable> Perturb(const data::CategoricalTable& table,
-                                           random::Pcg64& rng) const;
-
-  /// Deterministic seeded form on the global seeded-chunk grid: depends only
-  /// on (table, seed); chunk-aligned shard partitions concatenate
-  /// bit-for-bit (see core/seeded_chunking.h).
-  StatusOr<data::CategoricalTable> PerturbSeeded(const data::CategoricalTable& table,
-                                                 uint64_t seed,
-                                                 size_t num_threads = 1) const;
-
-  /// Shard form over a ShardView (buffer + global position), the streaming
-  /// pipeline's perturbation primitive.
+  /// Perturbs each column of `shard` (buffer + global position)
+  /// independently with its gamma-diagonal matrix, on the global
+  /// seeded-chunk grid: the output depends only on (rows, global position,
+  /// seed), and chunk-aligned shard partitions concatenate bit-for-bit (a
+  /// whole table is one shard at global_begin 0; see
+  /// core/seeded_chunking.h).
   StatusOr<data::CategoricalTable> PerturbShardSeeded(
       const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
 
@@ -99,23 +90,6 @@ class IndependentColumnSupportEstimator : public mining::SupportEstimator {
       const IndependentColumnScheme& scheme,
       std::shared_ptr<mining::SupportCountSource> source)
       : scheme_(scheme), source_(std::move(source)) {}
-
-  /// Owns the (possibly multi-shard) index; `num_threads` parallelizes each
-  /// counting pass.
-  IndependentColumnSupportEstimator(const IndependentColumnScheme& scheme,
-                                    mining::ShardedVerticalIndex index,
-                                    size_t num_threads = 1)
-      : IndependentColumnSupportEstimator(
-            scheme, std::make_shared<mining::LocalSupportCountSource>(
-                        std::move(index), num_threads)) {}
-
-  /// Convenience for the monolithic Prepare() path: one shard over
-  /// `perturbed` (the rows are not retained).
-  IndependentColumnSupportEstimator(const IndependentColumnScheme& scheme,
-                                    const data::CategoricalTable& perturbed)
-      : IndependentColumnSupportEstimator(
-            scheme, mining::ShardedVerticalIndex::Build(perturbed,
-                                                        /*num_shards=*/1)) {}
 
   StatusOr<double> EstimateSupport(const mining::Itemset& itemset) override;
 

@@ -35,27 +35,6 @@ double MaskScheme::ConditionNumberForLength(size_t itemset_length) const {
   return std::pow(1.0 / (2.0 * p_ - 1.0), static_cast<double>(itemset_length));
 }
 
-StatusOr<data::BooleanTable> MaskScheme::Perturb(const data::BooleanTable& table,
-                                                 random::Pcg64& rng) const {
-  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable out,
-                         data::BooleanTable::CreateEmpty(table.num_bits()));
-  const double flip = 1.0 - p_;
-  const size_t bits = table.num_bits();
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    uint64_t flip_mask = 0;
-    for (size_t b = 0; b < bits; ++b) {
-      if (rng.NextBernoulli(flip)) flip_mask |= (1ull << b);
-    }
-    out.AppendRow(table.RowBits(i) ^ flip_mask);
-  }
-  return out;
-}
-
-StatusOr<data::BooleanTable> MaskScheme::PerturbSeeded(
-    const data::BooleanTable& table, uint64_t seed, size_t num_threads) const {
-  return PerturbShardSeeded(table, /*global_begin=*/0, seed, num_threads);
-}
-
 StatusOr<data::BooleanTable> MaskScheme::PerturbShardSeeded(
     const data::BooleanTable& onehot, size_t global_begin, uint64_t seed,
     size_t num_threads) const {

@@ -24,9 +24,7 @@
 #include "frapp/data/boolean_vertical_index.h"
 #include "frapp/data/boolean_view.h"
 #include "frapp/data/pattern_count_source.h"
-#include "frapp/data/sharded_boolean_vertical_index.h"
 #include "frapp/mining/apriori.h"
-#include "frapp/random/rng.h"
 
 namespace frapp {
 namespace core {
@@ -53,23 +51,14 @@ class MaskScheme {
   /// (1 / (2p - 1))^k.
   double ConditionNumberForLength(size_t itemset_length) const;
 
-  /// Flips every bit of every row independently with probability 1 - p.
-  StatusOr<data::BooleanTable> Perturb(const data::BooleanTable& table,
-                                       random::Pcg64& rng) const;
-
-  /// Deterministic seeded form: rows are split into the global seeded-chunk
-  /// grid (core/seeded_chunking.h) and each chunk draws its own RNG stream,
-  /// so the output depends only on (table, seed) — never on the thread
-  /// count — and any chunk-aligned shard partition concatenates bit-for-bit
-  /// to the monolithic pass.
-  StatusOr<data::BooleanTable> PerturbSeeded(const data::BooleanTable& table,
-                                             uint64_t seed,
-                                             size_t num_threads = 1) const;
-
-  /// Shard form of PerturbSeeded: perturbs all rows of `onehot` (the one-hot
-  /// encoding of one shard) with the chunk streams of its global position.
-  /// `global_begin` is the global row index of the shard's first row and
-  /// must be chunk-aligned.
+  /// Flips every bit of every row of `onehot` (the one-hot encoding of one
+  /// shard) independently with probability 1 - p, on the global
+  /// seeded-chunk grid (core/seeded_chunking.h): each chunk draws its own
+  /// RNG stream, so the output depends only on (rows, global position,
+  /// seed) — never on the thread count — and any chunk-aligned shard
+  /// partition concatenates bit-for-bit to the whole-table output (a whole
+  /// table is one shard at global_begin 0). `global_begin` is the global
+  /// row index of the shard's first row and must be chunk-aligned.
   StatusOr<data::BooleanTable> PerturbShardSeeded(const data::BooleanTable& onehot,
                                                   size_t global_begin,
                                                   uint64_t seed,
@@ -107,23 +96,6 @@ class MaskSupportEstimator : public mining::SupportEstimator {
   MaskSupportEstimator(const MaskScheme& scheme, data::BooleanLayout layout,
                        std::shared_ptr<data::PatternCountSource> source)
       : scheme_(scheme), layout_(std::move(layout)), source_(std::move(source)) {}
-
-  /// Owns the (possibly multi-shard) index; `num_threads` parallelizes each
-  /// pattern-counting pass (never affects results).
-  MaskSupportEstimator(const MaskScheme& scheme, data::BooleanLayout layout,
-                       data::ShardedBooleanVerticalIndex index,
-                       size_t num_threads = 1)
-      : MaskSupportEstimator(scheme, std::move(layout),
-                             std::make_shared<data::LocalPatternCountSource>(
-                                 std::move(index), num_threads)) {}
-
-  /// Convenience for the monolithic Prepare() path: one shard over
-  /// `perturbed` (the rows are not retained).
-  MaskSupportEstimator(const MaskScheme& scheme, data::BooleanLayout layout,
-                       const data::BooleanTable& perturbed)
-      : MaskSupportEstimator(scheme, std::move(layout),
-                             data::ShardedBooleanVerticalIndex::Build(
-                                 perturbed, /*num_shards=*/1)) {}
 
   StatusOr<double> EstimateSupport(const mining::Itemset& itemset) override;
 

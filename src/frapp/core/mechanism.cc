@@ -3,8 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "frapp/mining/support_counter.h"
-
 namespace frapp {
 namespace core {
 
@@ -33,22 +31,6 @@ StatusOr<data::BooleanTable> Mechanism::PerturbBooleanShard(
 }
 
 StatusOr<std::unique_ptr<mining::SupportEstimator>>
-Mechanism::MakeShardedEstimator(mining::ShardedVerticalIndex index,
-                                size_t num_threads) {
-  return MakeCountSourceEstimator(
-      std::make_shared<mining::LocalSupportCountSource>(std::move(index),
-                                                        num_threads));
-}
-
-StatusOr<std::unique_ptr<mining::SupportEstimator>>
-Mechanism::MakeShardedBooleanEstimator(data::ShardedBooleanVerticalIndex index,
-                                       size_t num_threads) {
-  return MakeBooleanCountSourceEstimator(
-      std::make_shared<data::LocalPatternCountSource>(std::move(index),
-                                                      num_threads));
-}
-
-StatusOr<std::unique_ptr<mining::SupportEstimator>>
 Mechanism::MakeCountSourceEstimator(
     std::shared_ptr<mining::SupportCountSource>) {
   return Status::Unimplemented(
@@ -64,11 +46,6 @@ Mechanism::MakeBooleanCountSourceEstimator(
 
 StatusOr<double> GammaSupportEstimator::EstimateSupport(
     const mining::Itemset& itemset) {
-  if (source_ == nullptr) {
-    return reconstructor_.ReconstructSupport(
-        mining::SupportFraction(*perturbed_, itemset),
-        SubsetDomainSize(schema_, itemset));
-  }
   FRAPP_ASSIGN_OR_RETURN(
       const std::vector<uint64_t> counts,
       source_->CountSupports(std::vector<mining::Itemset>{itemset}));
@@ -80,14 +57,11 @@ StatusOr<double> GammaSupportEstimator::EstimateSupport(
 
 StatusOr<std::vector<double>> GammaSupportEstimator::EstimateSupports(
     const std::vector<mining::Itemset>& itemsets) {
-  if (source_ == nullptr) {
-    return mining::SupportEstimator::EstimateSupports(itemsets);
-  }
   // Whole-pass counting over the source (shard-parallel locally, fanned out
   // and merged remotely), then the per-candidate closed-form inverse (cheap
   // scalar math) on the TOTAL fraction — one division and one inverse per
   // candidate regardless of where the counts came from, so results match
-  // the monolithic path bit for bit.
+  // bit for bit across placements.
   FRAPP_ASSIGN_OR_RETURN(const std::vector<uint64_t> counts,
                          source_->CountSupports(itemsets));
   const double n = static_cast<double>(source_->num_rows());
@@ -111,21 +85,6 @@ StatusOr<std::unique_ptr<DetGdMechanism>> DetGdMechanism::Create(
                          GammaSubsetReconstructor::Create(gamma, schema.DomainSize()));
   return std::unique_ptr<DetGdMechanism>(new DetGdMechanism(
       schema, gamma, std::move(perturber), std::move(reconstructor)));
-}
-
-Status DetGdMechanism::Prepare(const data::CategoricalTable& original,
-                               random::Pcg64& rng) {
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable perturbed,
-                         perturber_.Perturb(original, rng));
-  perturbed_ = std::move(perturbed);
-  estimator_ = std::make_unique<GammaSupportEstimator>(schema_, reconstructor_,
-                                                       *perturbed_);
-  return Status::OK();
-}
-
-mining::SupportEstimator& DetGdMechanism::estimator() {
-  FRAPP_CHECK(estimator_ != nullptr) << "Prepare() must run first";
-  return *estimator_;
 }
 
 StatusOr<double> DetGdMechanism::ConditionNumberForLength(size_t) const {
@@ -157,21 +116,6 @@ StatusOr<std::unique_ptr<RanGdMechanism>> RanGdMechanism::Create(
                          GammaSubsetReconstructor::Create(gamma, schema.DomainSize()));
   return std::unique_ptr<RanGdMechanism>(new RanGdMechanism(
       schema, gamma, std::move(perturber), std::move(reconstructor)));
-}
-
-Status RanGdMechanism::Prepare(const data::CategoricalTable& original,
-                               random::Pcg64& rng) {
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable perturbed,
-                         perturber_.Perturb(original, rng));
-  perturbed_ = std::move(perturbed);
-  estimator_ = std::make_unique<GammaSupportEstimator>(schema_, reconstructor_,
-                                                       *perturbed_);
-  return Status::OK();
-}
-
-mining::SupportEstimator& RanGdMechanism::estimator() {
-  FRAPP_CHECK(estimator_ != nullptr) << "Prepare() must run first";
-  return *estimator_;
 }
 
 StatusOr<double> RanGdMechanism::ConditionNumberForLength(size_t) const {
@@ -213,18 +157,6 @@ StatusOr<std::unique_ptr<MaskMechanism>> MaskMechanism::Create(
   return std::unique_ptr<MaskMechanism>(new MaskMechanism(schema, scheme));
 }
 
-Status MaskMechanism::Prepare(const data::CategoricalTable& original,
-                              random::Pcg64& rng) {
-  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable onehot,
-                         data::BooleanTable::FromCategorical(original));
-  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable perturbed, scheme_.Perturb(onehot, rng));
-  // The estimator's index is self-contained; the perturbed rows are not
-  // retained.
-  estimator_ =
-      std::make_unique<MaskSupportEstimator>(scheme_, layout_, perturbed);
-  return Status::OK();
-}
-
 StatusOr<data::BooleanTable> MaskMechanism::PerturbBooleanShard(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) {
   FRAPP_ASSIGN_OR_RETURN(
@@ -240,11 +172,6 @@ MaskMechanism::MakeBooleanCountSourceEstimator(
   return std::unique_ptr<mining::SupportEstimator>(
       std::make_unique<MaskSupportEstimator>(scheme_, layout_,
                                              std::move(source)));
-}
-
-mining::SupportEstimator& MaskMechanism::estimator() {
-  FRAPP_CHECK(estimator_ != nullptr) << "Prepare() must run first";
-  return *estimator_;
 }
 
 StatusOr<double> MaskMechanism::ConditionNumberForLength(size_t length) const {
@@ -269,16 +196,6 @@ StatusOr<std::unique_ptr<CutPasteMechanism>> CutPasteMechanism::Create(
       new CutPasteMechanism(schema, std::move(scheme)));
 }
 
-Status CutPasteMechanism::Prepare(const data::CategoricalTable& original,
-                                  random::Pcg64& rng) {
-  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable onehot,
-                         data::BooleanTable::FromCategorical(original));
-  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable perturbed, scheme_.Perturb(onehot, rng));
-  estimator_ =
-      std::make_unique<CutPasteSupportEstimator>(scheme_, layout_, perturbed);
-  return Status::OK();
-}
-
 StatusOr<data::BooleanTable> CutPasteMechanism::PerturbBooleanShard(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) {
   FRAPP_ASSIGN_OR_RETURN(
@@ -294,11 +211,6 @@ CutPasteMechanism::MakeBooleanCountSourceEstimator(
   return std::unique_ptr<mining::SupportEstimator>(
       std::make_unique<CutPasteSupportEstimator>(scheme_, layout_,
                                                  std::move(source)));
-}
-
-mining::SupportEstimator& CutPasteMechanism::estimator() {
-  FRAPP_CHECK(estimator_ != nullptr) << "Prepare() must run first";
-  return *estimator_;
 }
 
 StatusOr<double> CutPasteMechanism::ConditionNumberForLength(size_t length) const {
@@ -320,15 +232,6 @@ IndependentColumnMechanism::Create(const data::CategoricalSchema& schema,
       new IndependentColumnMechanism(schema, std::move(scheme)));
 }
 
-Status IndependentColumnMechanism::Prepare(const data::CategoricalTable& original,
-                                           random::Pcg64& rng) {
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable perturbed,
-                         scheme_.Perturb(original, rng));
-  estimator_ =
-      std::make_unique<IndependentColumnSupportEstimator>(scheme_, perturbed);
-  return Status::OK();
-}
-
 StatusOr<data::CategoricalTable> IndependentColumnMechanism::PerturbShard(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) {
   return scheme_.PerturbShardSeeded(shard, seed, num_threads);
@@ -340,11 +243,6 @@ IndependentColumnMechanism::MakeCountSourceEstimator(
   return std::unique_ptr<mining::SupportEstimator>(
       std::make_unique<IndependentColumnSupportEstimator>(scheme_,
                                                           std::move(source)));
-}
-
-mining::SupportEstimator& IndependentColumnMechanism::estimator() {
-  FRAPP_CHECK(estimator_ != nullptr) << "Prepare() must run first";
-  return *estimator_;
 }
 
 StatusOr<double> IndependentColumnMechanism::ConditionNumberForLength(

@@ -8,9 +8,7 @@
 namespace frapp {
 namespace core {
 
-using internal::ChunkRng;
 using internal::ColumnPointers;
-using internal::kPerturbChunkRows;
 
 StatusOr<RandomizedGammaPerturber> RandomizedGammaPerturber::Create(
     const data::CategoricalSchema& schema, double gamma, double alpha,
@@ -52,36 +50,6 @@ void RandomizedGammaPerturber::PerturbRow(const uint8_t* const* in_cols,
       r / (static_cast<double>(matrix_.domain_size()) - 1.0);
   plan_.FillRow(plan_.SampleDivergenceColumn(d, o, rng), in_cols, out_cols, i,
                 rng);
-}
-
-StatusOr<data::CategoricalTable> RandomizedGammaPerturber::Perturb(
-    const data::CategoricalTable& table, random::Pcg64& rng) const {
-  if (table.num_attributes() != plan_.num_attributes()) {
-    return Status::InvalidArgument("table schema does not match perturber");
-  }
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable out,
-                         data::CategoricalTable::Create(table.schema()));
-  out.AppendZeroRows(table.num_rows());
-  ColumnPointers cols(table, &out);
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    PerturbRow(cols.in.data(), cols.out.data(), i, rng);
-  }
-  return out;
-}
-
-StatusOr<data::CategoricalTable> RandomizedGammaPerturber::PerturbSeeded(
-    const data::CategoricalTable& table, uint64_t seed,
-    size_t num_threads) const {
-  return PerturbShardSeeded(table, data::RowRange{0, table.num_rows()}, seed,
-                            num_threads);
-}
-
-StatusOr<data::CategoricalTable> RandomizedGammaPerturber::PerturbShardSeeded(
-    const data::CategoricalTable& table, const data::RowRange& range,
-    uint64_t seed, size_t num_threads) const {
-  FRAPP_RETURN_IF_ERROR(internal::ValidateShardRange(range, table.num_rows()));
-  return PerturbShardSeeded(data::ShardView{&table, range, range.begin}, seed,
-                            num_threads);
 }
 
 StatusOr<data::CategoricalTable> RandomizedGammaPerturber::PerturbShardSeeded(

@@ -38,30 +38,12 @@ class RandomizedGammaPerturber {
       const data::CategoricalSchema& schema, double gamma, double alpha,
       random::RandomizationKind kind = random::RandomizationKind::kUniform);
 
-  /// Perturbs every record with an independent matrix realization, consuming
-  /// randomness from `rng` sequentially. Per record, the first-divergence
+  /// Perturbs the rows of `shard` under the seeded-chunk contract (see
+  /// GammaDiagonalPerturber::PerturbShardSeeded), each record with an
+  /// independent matrix realization. Per record, the first-divergence
   /// column is inverted from a single uniform against the precomputed
   /// per-column thresholds (see GammaPerturbPlan) — no per-column Bernoulli
   /// chain, no per-row temporaries.
-  StatusOr<data::CategoricalTable> Perturb(const data::CategoricalTable& table,
-                                           random::Pcg64& rng) const;
-
-  /// Deterministic, optionally multi-threaded variant: output depends only
-  /// on (table, seed), never on the thread count (0 = hardware concurrency).
-  StatusOr<data::CategoricalTable> PerturbSeeded(const data::CategoricalTable& table,
-                                                 uint64_t seed,
-                                                 size_t num_threads = 1) const;
-
-  /// Perturbs only rows [range.begin, range.end) of `table` with the GLOBAL
-  /// chunk streams of the seeded contract; concatenating the outputs of any
-  /// chunk-aligned partition reproduces PerturbSeeded(table, seed) bit for
-  /// bit. `range` must satisfy the seeded-chunk alignment.
-  StatusOr<data::CategoricalTable> PerturbShardSeeded(
-      const data::CategoricalTable& table, const data::RowRange& range,
-      uint64_t seed, size_t num_threads = 1) const;
-
-  /// Streaming form over a ShardView (buffer + global position); see
-  /// GammaDiagonalPerturber::PerturbShardSeeded.
   StatusOr<data::CategoricalTable> PerturbShardSeeded(
       const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
 

@@ -1,9 +1,9 @@
 // Shared machinery for deterministic seeded bulk perturbation.
 //
-// Both gamma perturbers split rows into fixed-size chunks whose RNG stream
-// is a pure function of (master seed, chunk index). The chunk size and the
-// stream derivation ARE the determinism contract — one definition here so
-// the perturbers can never drift apart.
+// Every scheme's PerturbShardSeeded splits rows into fixed-size chunks whose
+// RNG stream is a pure function of (master seed, global chunk index). The
+// chunk size and the stream derivation ARE the determinism contract — one
+// definition here so the perturbers can never drift apart.
 
 #ifndef FRAPP_CORE_SEEDED_CHUNKING_H_
 #define FRAPP_CORE_SEEDED_CHUNKING_H_
@@ -28,22 +28,6 @@ namespace internal {
 /// Aliases the shard alignment quantum so that chunk-aligned shards (see
 /// data/sharded_table.h) perturb bit-identically to the monolithic pass.
 inline constexpr size_t kPerturbChunkRows = data::kShardAlignmentRows;
-
-/// Validates that `range` can be perturbed as a standalone shard under the
-/// seeded-chunk contract: it must start on a chunk boundary and end on one
-/// (or at the end of the table), so that its local chunk grid coincides with
-/// the monolithic chunk grid.
-inline Status ValidateShardRange(const data::RowRange& range, size_t num_rows) {
-  if (range.begin > range.end || range.end > num_rows) {
-    return Status::OutOfRange("shard range exceeds table");
-  }
-  if (range.begin % kPerturbChunkRows != 0 ||
-      (range.end % kPerturbChunkRows != 0 && range.end != num_rows)) {
-    return Status::InvalidArgument(
-        "shard range is not aligned to the seeded chunk quantum");
-  }
-  return Status::OK();
-}
 
 /// Validates a streaming shard view against the seeded-chunk contract: the
 /// local range must lie within its buffer table and the GLOBAL position must

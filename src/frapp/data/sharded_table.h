@@ -60,6 +60,12 @@ struct ShardView {
   size_t global_begin = 0;
 
   size_t size() const { return local.size(); }
+
+  /// All of `table` as one shard at global row 0: under the seeded-chunk
+  /// contract, the whole-table perturbation is this one shard's.
+  static ShardView Whole(const CategoricalTable& table) {
+    return ShardView{&table, RowRange{0, table.num_rows()}, 0};
+  }
 };
 
 /// Fixed partition of a CategoricalTable into contiguous row shards.

@@ -227,10 +227,6 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Connect(
   // the shard-kind the workers must index. Never perturbs anything here.
   FRAPP_ASSIGN_OR_RETURN(coordinator->mechanism_,
                          MakeMechanism(spec, coordinator->schema_));
-  if (!coordinator->mechanism_->SupportsShardStreaming()) {
-    return Status::Unimplemented(coordinator->mechanism_->name() +
-                                 " does not stream shards");
-  }
   coordinator->kind_ = coordinator->mechanism_->shard_kind();
   coordinator->total_rows_ = total_rows;
 

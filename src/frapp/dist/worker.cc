@@ -154,10 +154,6 @@ Status HandleHello(const Message& message, const WorkerOptions& options,
   }
   FRAPP_ASSIGN_OR_RETURN(state->mechanism,
                          MakeMechanism(hello.spec, options.schema));
-  if (!state->mechanism->SupportsShardStreaming()) {
-    return Status::Unimplemented(state->mechanism->name() +
-                                 " does not stream shards");
-  }
   state->kind = state->mechanism->shard_kind();
   state->hello = hello;
   // A re-handshake starts the job over: drop ranges held for the old one.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "frapp/mining/support_counter.h"
-
 namespace frapp {
 namespace mining {
 

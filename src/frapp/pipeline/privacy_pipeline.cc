@@ -8,7 +8,9 @@
 
 #include "frapp/common/clock.h"
 #include "frapp/common/parallel.h"
+#include "frapp/data/pattern_count_source.h"
 #include "frapp/data/sharded_boolean_vertical_index.h"
+#include "frapp/mining/count_source.h"
 #include "frapp/mining/sharded_vertical_index.h"
 #include "frapp/mining/vertical_index.h"
 #include "frapp/pipeline/prefetching_table_source.h"
@@ -57,12 +59,6 @@ StatusOr<PipelineResult> PrivacyPipeline::Run(core::Mechanism& mechanism,
     result.stats.producer_parse_nanos =
         prefetched.producer_stats().parse_nanos;
     return result;
-  }
-  if (!mechanism.SupportsShardStreaming()) {
-    return Status::Unimplemented(
-        mechanism.name() +
-        " does not implement the shard-streaming contract; every pipeline "
-        "mechanism must (there is no monolithic fallback)");
   }
   PipelineResult result;
   const bool boolean_shards =
@@ -167,16 +163,18 @@ StatusOr<PipelineResult> PrivacyPipeline::Run(core::Mechanism& mechanism,
   std::unique_ptr<mining::SupportEstimator> estimator;
   if (boolean_shards) {
     FRAPP_ASSIGN_OR_RETURN(
-        estimator, mechanism.MakeShardedBooleanEstimator(
-                       data::ShardedBooleanVerticalIndex::FromShards(
-                           std::move(bool_indexes)),
-                       options_.num_threads));
+        estimator, mechanism.MakeBooleanCountSourceEstimator(
+                       std::make_shared<data::LocalPatternCountSource>(
+                           data::ShardedBooleanVerticalIndex::FromShards(
+                               std::move(bool_indexes)),
+                           options_.num_threads)));
   } else {
     FRAPP_ASSIGN_OR_RETURN(
-        estimator, mechanism.MakeShardedEstimator(
-                       mining::ShardedVerticalIndex::FromShards(
-                           std::move(cat_indexes)),
-                       options_.num_threads));
+        estimator, mechanism.MakeCountSourceEstimator(
+                       std::make_shared<mining::LocalSupportCountSource>(
+                           mining::ShardedVerticalIndex::FromShards(
+                               std::move(cat_indexes)),
+                           options_.num_threads)));
   }
   FRAPP_ASSIGN_OR_RETURN(
       result.mined, mining::MineFrequentItemsets(source.schema(), *estimator,

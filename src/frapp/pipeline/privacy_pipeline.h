@@ -139,10 +139,10 @@ class PrivacyPipeline {
 
   /// Streams `source`'s shards through the mechanism's perturbation, indexes
   /// and drops each shard, then mines with the mechanism's reconstructing
-  /// estimator. Mining happens inside the pipeline; the mechanism's own
-  /// estimator() state is not touched. With options().prefetch_source the
-  /// source is driven from a producer thread for the duration of the call
-  /// (it is back under the caller's control when Run returns).
+  /// estimator (Make*CountSourceEstimator over the merged shard indexes).
+  /// With options().prefetch_source the source is driven from a producer
+  /// thread for the duration of the call (it is back under the caller's
+  /// control when Run returns).
   StatusOr<PipelineResult> Run(core::Mechanism& mechanism,
                                TableSource& source) const;
 

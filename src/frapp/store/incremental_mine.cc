@@ -398,10 +398,6 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
 
   FRAPP_ASSIGN_OR_RETURN(std::unique_ptr<core::Mechanism> mech,
                          dist::MakeMechanism(spec, schema));
-  if (!mech->SupportsShardStreaming()) {
-    return Status::Unimplemented(
-        mech->name() + " does not implement the shard-streaming contract");
-  }
   const bool boolean =
       mech->shard_kind() == core::Mechanism::ShardKind::kBoolean;
 

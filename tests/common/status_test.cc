@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace frapp {
 namespace {
 
@@ -22,6 +24,11 @@ struct FactoryCase {
   StatusCode code;
   const char* name;
 };
+
+// Prints the case by name, which ctest then uses as the test's name; the
+// default byte dump would put the function pointer's address, which changes
+// from build to build, into it.
+void PrintTo(const FactoryCase& c, std::ostream* os) { *os << c.name; }
 
 class StatusFactoryTest : public ::testing::TestWithParam<FactoryCase> {};
 

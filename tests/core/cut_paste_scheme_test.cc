@@ -80,8 +80,8 @@ TEST(CutPasteSchemeTest, PartialSupportMatrixMatchesSimulation) {
     ASSERT_TRUE(t.ok());
     const size_t rows = 60000;
     for (size_t i = 0; i < rows; ++i) t->AppendRow(record);
-    random::Pcg64 rng(29 + q0);
-    StatusOr<data::BooleanTable> out = s.Perturb(*t, rng);
+    StatusOr<data::BooleanTable> out =
+        s.PerturbShardSeeded(*t, /*global_begin=*/0, 29 + q0);
     ASSERT_TRUE(out.ok());
 
     std::vector<double> freq(k + 1, 0.0);
@@ -107,8 +107,8 @@ TEST(CutPasteSchemeTest, PerturbedRecordsStayInUniverse) {
     }
     t->AppendRow(bits);
   }
-  random::Pcg64 rng(2);
-  StatusOr<data::BooleanTable> out = s.Perturb(*t, rng);
+  StatusOr<data::BooleanTable> out =
+      s.PerturbShardSeeded(*t, /*global_begin=*/0, 2);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_rows(), 1000u);
   for (size_t i = 0; i < out->num_rows(); ++i) {
@@ -215,7 +215,8 @@ TEST(CutPasteSchemeTest, ShardSeededConcatenatesToMonolithic) {
   StatusOr<data::BooleanTable> onehot = data::BooleanTable::FromCategorical(*table);
   ASSERT_TRUE(onehot.ok());
 
-  const data::BooleanTable whole = *s.PerturbSeeded(*onehot, 23, /*num_threads=*/2);
+  const data::BooleanTable whole =
+      *s.PerturbShardSeeded(*onehot, /*global_begin=*/0, 23, /*num_threads=*/2);
   size_t row = 0;
   for (const data::RowRange& range :
        data::ShardedTable::Plan(onehot->num_rows(), 3)) {
@@ -239,11 +240,14 @@ TEST(CutPasteSupportEstimatorTest, SingletonEstimateOnCensusData) {
   ASSERT_TRUE(onehot.ok());
 
   CutPasteScheme s = CensusScheme();
-  random::Pcg64 rng(31);
-  StatusOr<data::BooleanTable> perturbed = s.Perturb(*onehot, rng);
+  StatusOr<data::BooleanTable> perturbed =
+      s.PerturbShardSeeded(*onehot, /*global_begin=*/0, 31);
   ASSERT_TRUE(perturbed.ok());
 
-  CutPasteSupportEstimator estimator(s, data::BooleanLayout(schema), *perturbed);
+  CutPasteSupportEstimator estimator(
+      s, data::BooleanLayout(schema),
+      std::make_shared<data::LocalPatternCountSource>(
+          data::ShardedBooleanVerticalIndex::Build(*perturbed, 1)));
   // native-country = United-States, true support ~0.894.
   StatusOr<double> est =
       estimator.EstimateSupport(*mining::Itemset::Create({{5, 0}}));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "frapp/data/census.h"
+#include "whole_table.h"
 
 namespace frapp {
 namespace core {
@@ -57,10 +58,11 @@ TEST(DesignerTest, DesignedMechanismIsUsable) {
   options.randomization_fraction = 0.25;
   StatusOr<FrappDesign> design = DesignMechanism(schema, options);
   ASSERT_TRUE(design.ok());
-  random::Pcg64 rng(4);
-  ASSERT_TRUE(design->mechanism->Prepare(*table, rng).ok());
-  StatusOr<double> est = design->mechanism->estimator().EstimateSupport(
-      *mining::Itemset::Create({{4, 1}}));
+  StatusOr<std::unique_ptr<mining::SupportEstimator>> estimator =
+      test::WholeTableEstimator(*design->mechanism, *table, 4);
+  ASSERT_TRUE(estimator.ok());
+  StatusOr<double> est =
+      (*estimator)->EstimateSupport(*mining::Itemset::Create({{4, 1}}));
   EXPECT_TRUE(est.ok());
 }
 

@@ -89,8 +89,8 @@ TEST(IndependentColumnTest, PerturbMarginalMatchesMatrix) {
   StatusOr<data::CategoricalTable> t = data::CategoricalTable::Create(schema);
   ASSERT_TRUE(t.ok());
   for (int i = 0; i < 100000; ++i) ASSERT_TRUE(t->AppendRow({1, 2}).ok());
-  random::Pcg64 rng(37);
-  StatusOr<data::CategoricalTable> out = s->Perturb(*t, rng);
+  StatusOr<data::CategoricalTable> out =
+      s->PerturbShardSeeded(data::ShardView::Whole(*t), 37);
   ASSERT_TRUE(out.ok());
 
   // Column 1 (cardinality 3): P(keep) = gamma_j x_j.
@@ -121,11 +121,13 @@ TEST(IndependentColumnEstimatorTest, ExactOnNoiselessSubsetHistogram) {
     count_12 += (a == 1 && b == 2) ? 1 : 0;
     ASSERT_TRUE(t->AppendRow({a, b}).ok());
   }
-  random::Pcg64 rng(39);
-  StatusOr<data::CategoricalTable> perturbed = s->Perturb(*t, rng);
+  StatusOr<data::CategoricalTable> perturbed =
+      s->PerturbShardSeeded(data::ShardView::Whole(*t), 39);
   ASSERT_TRUE(perturbed.ok());
 
-  IndependentColumnSupportEstimator estimator(*s, *perturbed);
+  IndependentColumnSupportEstimator estimator(
+      *s, std::make_shared<mining::LocalSupportCountSource>(
+              mining::ShardedVerticalIndex::Build(*perturbed, 1)));
   StatusOr<double> est =
       estimator.EstimateSupport(*mining::Itemset::Create({{0, 1}, {1, 2}}));
   ASSERT_TRUE(est.ok());
@@ -144,7 +146,8 @@ TEST(IndependentColumnTest, ShardSeededConcatenatesToMonolithic) {
   ASSERT_TRUE(s.ok());
 
   const data::CategoricalTable whole =
-      *s->PerturbSeeded(*table, 31, /*num_threads=*/2);
+      *s->PerturbShardSeeded(data::ShardView::Whole(*table), 31,
+                             /*num_threads=*/2);
   for (size_t num_shards : {3ul, 7ul}) {
     SCOPED_TRACE(testing::Message() << "shards=" << num_shards);
     size_t row = 0;

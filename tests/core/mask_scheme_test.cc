@@ -73,8 +73,8 @@ TEST(MaskSchemeTest, PerturbFlipsAtExpectedRate) {
   const size_t rows = 20000;
   for (size_t i = 0; i < rows; ++i) t->AppendRow(pattern);
 
-  random::Pcg64 rng(17);
-  StatusOr<data::BooleanTable> out = s->Perturb(*t, rng);
+  StatusOr<data::BooleanTable> out =
+      s->PerturbShardSeeded(*t, /*global_begin=*/0, 17);
   ASSERT_TRUE(out.ok());
   size_t flipped_bits = 0;
   for (size_t i = 0; i < rows; ++i) {
@@ -140,8 +140,8 @@ TEST(MaskSchemeTest, EndToEndSingletonEstimateIsAccurate) {
     true_count += set ? 1 : 0;
     t->AppendRow(set ? 1ull : 0ull);
   }
-  random::Pcg64 rng(19);
-  StatusOr<data::BooleanTable> perturbed = s->Perturb(*t, rng);
+  StatusOr<data::BooleanTable> perturbed =
+      s->PerturbShardSeeded(*t, /*global_begin=*/0, 19);
   ASSERT_TRUE(perturbed.ok());
   StatusOr<double> est = s->EstimateItemsetSupport(*perturbed, {0});
   ASSERT_TRUE(est.ok());
@@ -167,7 +167,8 @@ TEST(MaskSchemeTest, ShardSeededConcatenatesToMonolithic) {
   const size_t rows = 20000;  // three seeded chunks, last one partial
   for (size_t i = 0; i < rows; ++i) table->AppendRow(rng.Next());
 
-  const data::BooleanTable whole = *s->PerturbSeeded(*table, 17, /*num_threads=*/2);
+  const data::BooleanTable whole =
+      *s->PerturbShardSeeded(*table, /*global_begin=*/0, 17, /*num_threads=*/2);
   ASSERT_EQ(whole.num_rows(), rows);
   size_t row = 0;
   for (const data::RowRange& range : data::ShardedTable::Plan(rows, 3)) {
@@ -198,11 +199,14 @@ TEST(MaskSupportEstimatorTest, ResolvesItemsetBits) {
 
   StatusOr<MaskScheme> s = MaskScheme::CalibrateForGamma(19.0, 6);
   ASSERT_TRUE(s.ok());
-  random::Pcg64 rng(23);
-  StatusOr<data::BooleanTable> perturbed = s->Perturb(*onehot, rng);
+  StatusOr<data::BooleanTable> perturbed =
+      s->PerturbShardSeeded(*onehot, /*global_begin=*/0, 23);
   ASSERT_TRUE(perturbed.ok());
 
-  MaskSupportEstimator estimator(*s, data::BooleanLayout(schema), *perturbed);
+  MaskSupportEstimator estimator(
+      *s, data::BooleanLayout(schema),
+      std::make_shared<data::LocalPatternCountSource>(
+          data::ShardedBooleanVerticalIndex::Build(*perturbed, 1)));
   // sex = Male has true support ~0.67; a singleton estimate should be close.
   StatusOr<double> est =
       estimator.EstimateSupport(*mining::Itemset::Create({{4, 1}}));

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "frapp/data/census.h"
 #include "frapp/mining/support_counter.h"
+#include "whole_table.h"
 
 namespace frapp {
 namespace core {
@@ -21,9 +23,15 @@ class MechanismFixture : public ::testing::Test {
     table_.emplace(*std::move(t));
   }
 
-  // Estimate minus truth for a given itemset under a prepared mechanism.
-  double EstimateError(Mechanism& mechanism, const mining::Itemset& itemset) {
-    StatusOr<double> est = mechanism.estimator().EstimateSupport(itemset);
+  // Estimate minus truth for a given itemset after perturbing the whole
+  // table with `seed`.
+  double EstimateError(Mechanism& mechanism, uint64_t seed,
+                       const mining::Itemset& itemset) {
+    StatusOr<std::unique_ptr<mining::SupportEstimator>> estimator =
+        test::WholeTableEstimator(mechanism, *table_, seed);
+    EXPECT_TRUE(estimator.ok()) << estimator.status().ToString();
+    if (!estimator.ok()) return 1e9;
+    StatusOr<double> est = (*estimator)->EstimateSupport(itemset);
     EXPECT_TRUE(est.ok()) << est.status().ToString();
     const double truth = mining::SupportFraction(*table_, itemset);
     return est.ok() ? *est - truth : 1e9;
@@ -38,14 +46,12 @@ TEST_F(MechanismFixture, DetGdLongItemsetEstimateIsPrecise) {
   StatusOr<std::unique_ptr<DetGdMechanism>> m =
       DetGdMechanism::Create(table_->schema(), kGamma);
   ASSERT_TRUE(m.ok());
-  random::Pcg64 rng(1);
-  ASSERT_TRUE((*m)->Prepare(*table_, rng).ok());
 
   // The modal record: age (15-35], fnlwgt (1e5-2e5], hours (20-40], White,
   // Male, United-States (true support ~6%).
   const mining::Itemset modal = *mining::Itemset::Create(
       {{0, 0}, {1, 1}, {2, 1}, {3, 0}, {4, 1}, {5, 0}});
-  EXPECT_LT(std::fabs(EstimateError(**m, modal)), 0.08);
+  EXPECT_LT(std::fabs(EstimateError(**m, 1, modal)), 0.08);
 }
 
 TEST_F(MechanismFixture, DetGdSingletonEstimateUnbiasedAcrossRuns) {
@@ -59,9 +65,7 @@ TEST_F(MechanismFixture, DetGdSingletonEstimateUnbiasedAcrossRuns) {
   double total_error = 0.0;
   const int runs = 12;
   for (int r = 0; r < runs; ++r) {
-    random::Pcg64 rng(100 + r);
-    ASSERT_TRUE((*m)->Prepare(*table_, rng).ok());
-    const double err = EstimateError(**m, male);
+    const double err = EstimateError(**m, 100 + r, male);
     EXPECT_LT(std::fabs(err), 1.2);  // catches wiring bugs (~28 shift)
     total_error += err;
   }
@@ -73,38 +77,30 @@ TEST_F(MechanismFixture, RanGdEstimatesTrackDetGd) {
   StatusOr<std::unique_ptr<RanGdMechanism>> m =
       RanGdMechanism::Create(table_->schema(), kGamma, kGamma * x / 2.0);
   ASSERT_TRUE(m.ok());
-  random::Pcg64 rng(2);
-  ASSERT_TRUE((*m)->Prepare(*table_, rng).ok());
   const mining::Itemset modal = *mining::Itemset::Create(
       {{0, 0}, {1, 1}, {2, 1}, {3, 0}, {4, 1}, {5, 0}});
-  EXPECT_LT(std::fabs(EstimateError(**m, modal)), 0.10);
+  EXPECT_LT(std::fabs(EstimateError(**m, 2, modal)), 0.10);
 }
 
 TEST_F(MechanismFixture, MaskSingletonEstimateIsClose) {
   StatusOr<std::unique_ptr<MaskMechanism>> m =
       MaskMechanism::Create(table_->schema(), kGamma);
   ASSERT_TRUE(m.ok());
-  random::Pcg64 rng(3);
-  ASSERT_TRUE((*m)->Prepare(*table_, rng).ok());
-  EXPECT_LT(std::fabs(EstimateError(**m, *mining::Itemset::Create({{4, 1}}))), 0.05);
+  EXPECT_LT(std::fabs(EstimateError(**m, 3, *mining::Itemset::Create({{4, 1}}))), 0.05);
 }
 
 TEST_F(MechanismFixture, CutPasteSingletonEstimateIsClose) {
   StatusOr<std::unique_ptr<CutPasteMechanism>> m =
       CutPasteMechanism::Create(table_->schema(), 3, 0.494);
   ASSERT_TRUE(m.ok());
-  random::Pcg64 rng(4);
-  ASSERT_TRUE((*m)->Prepare(*table_, rng).ok());
-  EXPECT_LT(std::fabs(EstimateError(**m, *mining::Itemset::Create({{4, 1}}))), 0.08);
+  EXPECT_LT(std::fabs(EstimateError(**m, 4, *mining::Itemset::Create({{4, 1}}))), 0.08);
 }
 
 TEST_F(MechanismFixture, IndependentColumnSingletonEstimateIsClose) {
   StatusOr<std::unique_ptr<IndependentColumnMechanism>> m =
       IndependentColumnMechanism::Create(table_->schema(), kGamma);
   ASSERT_TRUE(m.ok());
-  random::Pcg64 rng(5);
-  ASSERT_TRUE((*m)->Prepare(*table_, rng).ok());
-  EXPECT_LT(std::fabs(EstimateError(**m, *mining::Itemset::Create({{4, 1}}))), 0.05);
+  EXPECT_LT(std::fabs(EstimateError(**m, 5, *mining::Itemset::Create({{4, 1}}))), 0.05);
 }
 
 TEST(MechanismTest, ConditionNumberOrderingAtLength4) {

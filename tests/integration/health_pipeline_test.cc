@@ -10,6 +10,7 @@
 #include "frapp/core/mechanism.h"
 #include "frapp/data/health.h"
 #include "frapp/eval/experiment.h"
+#include "whole_table.h"
 
 namespace frapp {
 namespace {
@@ -76,10 +77,11 @@ TEST_F(HealthPipelineTest, DesignerEndToEndOnHealth) {
   ASSERT_TRUE(design.ok());
   EXPECT_NEAR(design->condition_number, (19.0 + 7499.0) / 18.0, 1e-9);
 
-  random::Pcg64 rng(10);
-  ASSERT_TRUE(design->mechanism->Prepare(*table_, rng).ok());
-  StatusOr<double> est = design->mechanism->estimator().EstimateSupport(
-      *mining::Itemset::Create({{4, 1}}));
+  StatusOr<std::unique_ptr<mining::SupportEstimator>> estimator =
+      test::WholeTableEstimator(*design->mechanism, *table_, 10);
+  ASSERT_TRUE(estimator.ok());
+  StatusOr<double> est =
+      (*estimator)->EstimateSupport(*mining::Itemset::Create({{4, 1}}));
   ASSERT_TRUE(est.ok());
   // Singleton noise on HEALTH is sigma ~ 1 at this N; wiring bugs are 10x+.
   EXPECT_LT(std::fabs(*est - 0.52), 4.0);

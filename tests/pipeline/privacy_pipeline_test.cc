@@ -96,14 +96,16 @@ TEST_F(PrivacyPipelineTest, ShardedPerturbationConcatenatesToMonolithic) {
   const auto perturber =
       *core::GammaDiagonalPerturber::Create(table_->schema(), kGamma);
   const data::CategoricalTable whole =
-      *perturber.PerturbSeeded(*table_, kSeed, /*num_threads=*/2);
+      *perturber.PerturbShardSeeded(data::ShardView::Whole(*table_), kSeed,
+                                    /*num_threads=*/2);
   for (size_t num_shards : {3ul, 7ul}) {
     SCOPED_TRACE(testing::Message() << "shards=" << num_shards);
     size_t row = 0;
     for (const data::RowRange& range :
          data::ShardedTable::Plan(table_->num_rows(), num_shards)) {
       const data::CategoricalTable shard =
-          *perturber.PerturbShardSeeded(*table_, range, kSeed);
+          *perturber.PerturbShardSeeded(
+              data::ShardView{table_, range, range.begin}, kSeed);
       ASSERT_EQ(shard.num_rows(), range.size());
       for (size_t i = 0; i < shard.num_rows(); ++i, ++row) {
         for (size_t j = 0; j < table_->num_attributes(); ++j) {
@@ -119,13 +121,17 @@ TEST_F(PrivacyPipelineTest, ShardedPerturbationConcatenatesToMonolithic) {
 TEST_F(PrivacyPipelineTest, ShardMisalignmentIsRejected) {
   const auto perturber =
       *core::GammaDiagonalPerturber::Create(table_->schema(), kGamma);
-  EXPECT_FALSE(
-      perturber.PerturbShardSeeded(*table_, data::RowRange{100, 9000}, kSeed)
-          .ok());
+  EXPECT_FALSE(perturber
+                   .PerturbShardSeeded(
+                       data::ShardView{table_, data::RowRange{100, 9000}, 100},
+                       kSeed)
+                   .ok());
   EXPECT_FALSE(
       perturber
-          .PerturbShardSeeded(*table_, data::RowRange{0, table_->num_rows() + 1},
-                              kSeed)
+          .PerturbShardSeeded(
+              data::ShardView{
+                  table_, data::RowRange{0, table_->num_rows() + 1}, 0},
+              kSeed)
           .ok());
 }
 
@@ -174,8 +180,15 @@ TEST_F(PrivacyPipelineTest, EveryMechanismReportsShardStreaming) {
   mechanisms.push_back(*core::CutPasteMechanism::Create(table_->schema(), 3, 0.494));
   mechanisms.push_back(
       *core::IndependentColumnMechanism::Create(table_->schema(), kGamma));
-  for (const auto& mechanism : mechanisms) {
-    EXPECT_TRUE(mechanism->SupportsShardStreaming()) << mechanism->name();
+  // Categorical rows for the gamma family, one-hot bits for the boolean
+  // baselines; the pipeline picks the matching PerturbShard* and
+  // Make*CountSourceEstimator pair from this.
+  using Kind = core::Mechanism::ShardKind;
+  const Kind expected[] = {Kind::kCategorical, Kind::kCategorical,
+                           Kind::kBoolean, Kind::kBoolean, Kind::kCategorical};
+  for (size_t i = 0; i < mechanisms.size(); ++i) {
+    EXPECT_EQ(mechanisms[i]->shard_kind(), expected[i])
+        << mechanisms[i]->name();
   }
 }
 

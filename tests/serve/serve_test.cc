@@ -19,6 +19,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -123,6 +124,11 @@ struct MechanismCase {
   dist::MechanismSpec::Kind kind;
 };
 
+// Prints the case by name, which ctest then uses as the test's name; the
+// default byte dump would put the name pointer's address and padding bytes,
+// which change from build to build, into it.
+void PrintTo(const MechanismCase& c, std::ostream* os) { *os << c.name; }
+
 class BrokerMechanismTest : public ServeTest,
                             public ::testing::WithParamInterface<MechanismCase> {
 };
@@ -146,10 +152,7 @@ INSTANTIATE_TEST_SUITE_P(
         MechanismCase{"ran_gd", dist::MechanismSpec::Kind::kRanGd},
         MechanismCase{"mask", dist::MechanismSpec::Kind::kMask},
         MechanismCase{"cut_paste", dist::MechanismSpec::Kind::kCutPaste},
-        MechanismCase{"ind_gd", dist::MechanismSpec::Kind::kIndGd}),
-    [](const ::testing::TestParamInfo<MechanismCase>& info) {
-      return info.param.name;
-    });
+        MechanismCase{"ind_gd", dist::MechanismSpec::Kind::kIndGd}));
 
 TEST_F(ServeTest, BrokerRepeatedQueryIsCacheHitWithIdenticalResult) {
   QueryBroker broker(MakeOptions());

@@ -4,17 +4,26 @@
 //   frapp generate --dataset census|health [--rows N] [--seed S] --out F.csv
 //       Writes a synthetic stand-in dataset as CSV.
 //   frapp perturb  --dataset census|health --in F.csv --out G.csv
-//                  [--rho1 0.05 --rho2 0.50] [--alpha-frac 0..1] [--seed S]
-//       Client-side perturbation with the (optionally randomized)
-//       gamma-diagonal mechanism.
-//   frapp mine     --dataset census|health --in G.csv
-//                  [--rho1 .. --rho2 ..] [--alpha-frac ..] [--minsup 0.02]
-//                  [--exact] [--top K]
+//                  [--mechanism det-gd|ran-gd|ind-gd] [--gamma G]
+//                  [--alpha A | --alpha-frac F] [--seed 7]
+//       Client-side perturbation of the whole table as one shard at row 0:
+//       the same seeded chunk streams `frapp mine --seed S` perturbs, so the
+//       written file is exactly the data that mine counts. MASK and C&P are
+//       refused: their perturbed form is one-hot bits, which a categorical
+//       CSV cannot hold. So are --rho1/--rho2 (get a gamma from `frapp
+//       audit`) and --alpha/--alpha-frac without --mechanism ran-gd.
+//   frapp mine     --dataset census|health --in G.csv [--exact]
+//                  [--mechanism det-gd|ran-gd|ind-gd] [--gamma G]
+//                  [--alpha A | --alpha-frac F] [--minsup 0.02] [--top K]
 //       Miner-side frequent-itemset discovery. With --exact the input is
-//       treated as unperturbed truth; otherwise supports are reconstructed
-//       through the gamma-diagonal inverse (paper Eq. 28).
-//   frapp audit    --dataset census|health [--rho1 .. --rho2 ..]
-//                  [--alpha-frac ..]
+//       treated as unperturbed truth; otherwise it is a perturbed database
+//       (as `frapp perturb` writes it) and supports are reconstructed by the
+//       mechanism's count-source estimator (paper Eq. 28 for DET-GD and
+//       RAN-GD). `frapp perturb` then this mode prints the report of
+//       `frapp mine --run-pipeline` over the same spec and seed. It refuses
+//       the same flags `frapp perturb` refuses.
+//   frapp audit    --dataset census|health [--rho1 0.05 --rho2 0.50]
+//                  [--alpha-frac 0..1]
 //       Prints the two-step FRAPP design for the schema.
 //   frapp convert  --dataset census|health --in F.csv --out F.bin
 //       One-time CSV -> binary shard conversion (data/shard_io.h format):
@@ -111,7 +120,6 @@
 #include "frapp/common/parallel.h"
 #include "frapp/common/string_util.h"
 #include "frapp/core/designer.h"
-#include "frapp/core/subset_reconstruction.h"
 #include "frapp/data/census.h"
 #include "frapp/data/csv.h"
 #include "frapp/data/health.h"
@@ -126,7 +134,8 @@
 #include "frapp/eval/reporting.h"
 #include "frapp/mining/apriori.h"
 #include "frapp/mining/kernels.h"
-#include "frapp/mining/support_counter.h"
+#include "frapp/mining/count_source.h"
+#include "frapp/mining/sharded_vertical_index.h"
 #include "frapp/pipeline/privacy_pipeline.h"
 #include "frapp/serve/broker.h"
 #include "frapp/serve/client.h"
@@ -142,10 +151,12 @@ int Usage() {
   std::cerr <<
       "usage: frapp <generate|perturb|mine|append|audit|convert|worker|serve|query|cpuinfo> [flags]\n"
       "  generate --dataset census|health [--rows N] [--seed S] --out F.csv\n"
-      "  perturb  --dataset D --in F.csv --out G.csv [--rho1 R --rho2 R]\n"
-      "           [--alpha-frac F] [--seed S]\n"
-      "  mine     --dataset D --in G.csv [--rho1 R --rho2 R] [--alpha-frac F]\n"
-      "           [--minsup 0.02] [--exact] [--top K]\n"
+      "  perturb  --dataset D --in F.csv --out G.csv\n"
+      "           [--mechanism det-gd|ran-gd|ind-gd] [--gamma 19]\n"
+      "           [--alpha A | --alpha-frac F] [--seed 7]\n"
+      "  mine     --dataset D --in G.csv [--exact]\n"
+      "           [--mechanism det-gd|ran-gd|ind-gd] [--gamma 19]\n"
+      "           [--alpha A | --alpha-frac F] [--minsup 0.02] [--top K]\n"
       "  mine     --dataset D --mechanism det-gd|ran-gd|mask|cp|ind-gd\n"
       "           [--gamma 19] [--alpha A | --alpha-frac F]   (ran-gd spread)\n"
       "           [--cutoff-k 3] [--rho 0.494]                (cp operator)\n"
@@ -276,34 +287,6 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
-int CmdPerturb(const Flags& flags) {
-  const data::CategoricalSchema schema = SchemaFor(flags.Get("dataset"));
-  const std::string in = flags.Get("in");
-  const std::string out = flags.Get("out");
-  if (in.empty() || out.empty()) return Usage();
-
-  const data::CategoricalTable original = Unwrap(data::ReadCsv(in, schema));
-  core::FrappDesign design = DesignFor(schema, flags);
-  std::cout << design.Summary();
-
-  random::Pcg64 rng(flags.GetUint("seed", 7));
-  UnwrapStatus(design.mechanism->Prepare(original, rng));
-
-  // Reuse the perturber directly to fetch the perturbed table: DET-GD
-  // exposes it; for RAN-GD re-run the perturber (same distribution).
-  if (auto* det = dynamic_cast<core::DetGdMechanism*>(design.mechanism.get())) {
-    UnwrapStatus(data::WriteCsv(det->perturbed(), out));
-  } else {
-    auto* ran = dynamic_cast<core::RanGdMechanism*>(design.mechanism.get());
-    random::Pcg64 rng2(flags.GetUint("seed", 7));
-    const data::CategoricalTable perturbed =
-        Unwrap(ran->perturber().Perturb(original, rng2));
-    UnwrapStatus(data::WriteCsv(perturbed, out));
-  }
-  std::cout << "wrote perturbed database to " << out << "\n";
-  return 0;
-}
-
 // Shared by every mine mode, so single-process, distributed, incremental,
 // and served runs can be diffed for bit-parity: identical supports print
 // identical text. The format itself lives in eval::PrintMiningReport (one
@@ -320,8 +303,8 @@ dist::MechanismSpec SpecFromFlags(const Flags& flags,
   spec.kind = Unwrap(dist::ParseMechanismKind(flags.Get("mechanism", "det-gd")));
   spec.gamma = flags.GetDouble("gamma", 19.0);
   // RAN-GD spread: --alpha is the absolute spread; --alpha-frac mirrors the
-  // legacy perturb/audit convention (fraction of the max gamma * x, with
-  // x = 1 / (gamma + |S_U| - 1)).
+  // audit convention (fraction of the max gamma * x, with x = 1 / (gamma +
+  // |S_U| - 1)).
   spec.alpha = flags.GetDouble("alpha", 0.0);
   if (flags.Has("alpha-frac")) {
     const double x =
@@ -331,6 +314,59 @@ dist::MechanismSpec SpecFromFlags(const Flags& flags,
   spec.cutoff_k = flags.GetUint("cutoff-k", 3);
   spec.rho = flags.GetDouble("rho", 0.494);
   return spec;
+}
+
+// `perturb` and the reconstruct mode of `mine` take the mechanism from the
+// spec flags alone. Flags that would ask for another mechanism are refused,
+// not ignored, so a caller who asks for a privacy level never gets data
+// perturbed (or reconstructed) at a different one.
+Status CheckFileSpecFlags(const Flags& flags, const dist::MechanismSpec& spec) {
+  for (const char* key : {"rho1", "rho2"}) {
+    if (flags.Has(key)) {
+      return Status::InvalidArgument(
+          std::string("--") + key +
+          " is not read here: run `frapp audit --rho1 R --rho2 R` and pass "
+          "the gamma it prints as --gamma G");
+    }
+  }
+  if (spec.kind != dist::MechanismSpec::Kind::kRanGd) {
+    for (const char* key : {"alpha", "alpha-frac"}) {
+      if (flags.Has(key)) {
+        return Status::InvalidArgument(
+            std::string("--") + key +
+            " sets the RAN-GD spread: pass --mechanism ran-gd with it");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+int CmdPerturb(const Flags& flags) {
+  const data::CategoricalSchema schema = SchemaFor(flags.Get("dataset"));
+  const std::string in = flags.Get("in");
+  const std::string out = flags.Get("out");
+  if (in.empty() || out.empty()) return Usage();
+
+  const dist::MechanismSpec spec = SpecFromFlags(flags, schema);
+  UnwrapStatus(CheckFileSpecFlags(flags, spec));
+  auto mechanism = Unwrap(dist::MakeMechanism(spec, schema));
+  if (mechanism->shard_kind() != core::Mechanism::ShardKind::kCategorical) {
+    UnwrapStatus(Status::InvalidArgument(
+        mechanism->name() +
+        " perturbs into one-hot bits, which a categorical CSV cannot hold "
+        "(mine it with --run-pipeline instead)"));
+  }
+  const data::CategoricalTable original = Unwrap(data::ReadCsv(in, schema));
+  // The whole table is one shard at global row 0, so its chunk streams are
+  // the ones `frapp mine --seed` perturbs.
+  const uint64_t seed = flags.GetUint("seed", 7);
+  const data::CategoricalTable perturbed = Unwrap(mechanism->PerturbShard(
+      data::ShardView::Whole(original), seed, /*num_threads=*/1));
+  UnwrapStatus(data::WriteCsv(perturbed, out));
+  std::cout << mechanism->name() << " (gamma " << spec.gamma << ", alpha "
+            << spec.alpha << ") perturbed " << perturbed.num_rows()
+            << " records (seed " << seed << "); wrote " << out << "\n";
+  return 0;
 }
 
 size_t DefaultRows(const std::string& dataset) {
@@ -635,21 +671,24 @@ int CmdMine(const Flags& flags) {
   options.min_support = flags.GetDouble("minsup", 0.02);
 
   mining::AprioriResult result;
+  std::string label = "exact";
   if (flags.Has("exact")) {
     result = Unwrap(mining::MineExact(table, options));
   } else {
-    // The input is a PERTURBED database: mine with reconstruction. The
-    // estimator reads perturbed supports from the table and inverts Eq. 28.
-    core::FrappDesign design = DesignFor(schema, flags);
-    auto reconstructor = Unwrap(core::GammaSubsetReconstructor::Create(
-        design.gamma, schema.DomainSize()));
-    core::GammaSupportEstimator estimator(schema, reconstructor, table);
-    result = Unwrap(mining::MineFrequentItemsets(schema, estimator, options));
+    // The input is a PERTURBED database: count it through a one-shard index
+    // and reconstruct with the spec's mechanism, exactly as the pipeline
+    // does over its own perturbed shards.
+    const dist::MechanismSpec spec = SpecFromFlags(flags, schema);
+    UnwrapStatus(CheckFileSpecFlags(flags, spec));
+    auto mechanism = Unwrap(dist::MakeMechanism(spec, schema));
+    auto estimator = Unwrap(mechanism->MakeCountSourceEstimator(
+        std::make_shared<mining::LocalSupportCountSource>(
+            mining::ShardedVerticalIndex::Build(table, /*num_shards=*/1))));
+    result = Unwrap(mining::MineFrequentItemsets(schema, *estimator, options));
+    label = dist::MechanismSpecName(spec);
   }
 
-  PrintMiningReport(schema, result,
-                    flags.Has("exact") ? "exact" : "reconstructed",
-                    options.min_support,
+  PrintMiningReport(schema, result, label, options.min_support,
                     static_cast<size_t>(flags.GetUint("top", 20)));
   return 0;
 }
